@@ -37,6 +37,13 @@ benchmark E3).
 
 Following the paper, we compute one closure per enabled seed and keep
 the one with the fewest enabled transitions.
+
+Both data rules ask a static question — which instructions may touch a
+location — so the selector answers it from a *conflict index*: per
+static location, the ``(func, pc)`` points that may write it (and,
+separately, read or write it), built on first use.  A D2 or guard step
+is then one set intersection per other process's universe, and the
+universes themselves are cached per process control state.
 """
 
 from __future__ import annotations
@@ -63,6 +70,12 @@ class AlgorithmOneSelector:
     #: optional :class:`repro.metrics.MetricsRegistry` (set by the
     #: exploration driver when telemetry is attached)
     metrics: object | None = field(default=None, repr=False, compare=False)
+    #: conflict index: (static location, with readers?) -> (func, pc) set
+    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: (frame control points, status) -> instruction universe
+    _universes: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _record(self, enabled: int, chosen: int) -> None:
         self.stats.record(enabled, chosen)
@@ -103,6 +116,13 @@ class AlgorithmOneSelector:
     # ------------------------------------------------------------------
 
     def _universe(self, proc: Process) -> frozenset:
+        key = (tuple((fr.func, fr.pc) for fr in proc.frames), proc.status)
+        uni = self._universes.get(key)
+        if uni is None:
+            uni = self._universes[key] = self._build_universe(proc)
+        return uni
+
+    def _build_universe(self, proc: Process) -> frozenset:
         out: set = set()
         for fr in proc.frames[:-1]:
             out |= self.access.reachable_from(fr.func, fr.pc)
@@ -129,7 +149,6 @@ class AlgorithmOneSelector:
         universes: dict[Pid, frozenset],
         cur: dict[Pid, tuple[str, int]],
     ) -> tuple[list[Expansion], int]:
-        access = self.access
         S: set[Element] = set()
         work: list[Element] = []
 
@@ -163,34 +182,44 @@ class AlgorithmOneSelector:
             self.metrics.observe("stubborn.closure_iterations", iterations)
         return chosen, len(S)
 
+    # -- conflict index -------------------------------------------------
+
+    def _conflicts(self, loc, readers: bool) -> frozenset:
+        """Every ``(func, pc)`` whose static writes — or, with *readers*,
+        reads or writes — may touch the dynamic location *loc*."""
+        # matches() looks only at the global index / the allocation site
+        key = (("site", loc[1][0]) if loc[0] == "h" else loc[:2], readers)
+        hit = self._index.get(key)
+        if hit is None:
+            access = self.access
+            hit = self._index[key] = frozenset(
+                (f, pc)
+                for f, fn in self.program.funcs.items()
+                for pc in range(len(fn.instrs))
+                if matches(access.gen_at(f, pc).writes, loc)
+                or (readers and matches(access.gen_at(f, pc).reads, loc))
+            )
+        return hit
+
+    def _add_conflicting(self, exp, universes, conflicts, add) -> None:
+        pid = exp.pid
+        for other, uni in universes.items():
+            if other != pid:
+                for f2, pc2 in uni & conflicts:
+                    add((other, f2, pc2))
+
     # -- D2 ------------------------------------------------------------
 
     def _add_dependents(self, exp, by_pid, universes, add) -> None:
-        access = self.access
-        writes = exp.writes
-        reads = exp.reads
-        for other, uni in universes.items():
-            if other == exp.pid:
-                continue
-            for f2, pc2 in uni:
-                g = access.gen_at(f2, pc2)
-                hit = False
-                for w in writes:
-                    if matches(g.reads, w) or matches(g.writes, w):
-                        hit = True
-                        break
-                if not hit:
-                    for r in reads:
-                        if matches(g.writes, r):
-                            hit = True
-                            break
-                if hit:
-                    add((other, f2, pc2))
+        conflicts = frozenset().union(
+            *(self._conflicts(w, True) for w in exp.writes),
+            *(self._conflicts(r, False) for r in exp.reads),
+        )
+        self._add_conflicting(exp, universes, conflicts, add)
 
     # -- D1: guard-disabled current ------------------------------------
 
     def _add_guard_enablers(self, exp, by_pid, universes, add) -> None:
-        access = self.access
         if exp.proc.status == JOINING or exp.blocked_children:
             for child in exp.blocked_children:
                 uni = universes.get(child, frozenset())
@@ -199,14 +228,8 @@ class AlgorithmOneSelector:
                     if isinstance(ins, IThreadEnd):
                         add((child, f2, pc2))
             return
-        locs = exp.nes
-        for other, uni in universes.items():
-            if other == exp.pid:
-                continue
-            for f2, pc2 in uni:
-                g = access.gen_at(f2, pc2)
-                if any(matches(g.writes, loc) for loc in locs):
-                    add((other, f2, pc2))
+        conflicts = frozenset().union(*(self._conflicts(n, False) for n in exp.nes))
+        self._add_conflicting(exp, universes, conflicts, add)
 
     # -- D1: future elements (control chain) ----------------------------
 

@@ -224,6 +224,42 @@ def test_disabled_expansion_is_memoized():
     assert now.enabled
 
 
+def test_dropped_pointer_is_collected_on_step_and_replay_paths():
+    """The empty-heap GC short-circuit must not skip a live heap: once
+    ``p = 0`` drops the only pointer, the object is collected both when
+    the interpreter computes the step and when the memo replays it."""
+    prog = parse_program(
+        "var p = 0; var x = 0;"
+        "func main() { cobegin { p = malloc(1); p = 0; } { x = 1; } }"
+    )
+    access = access_analysis(prog)
+    opts = ExploreOptions(policy="full", memo=True)
+    cache = ExpandCache()
+    x_glob = ("g", prog.global_index("x"))
+
+    def owner(exps):
+        return next(e for e in exps if e.enabled and x_glob not in e.writes)
+
+    init = initial_config(prog)
+    [cobegin] = _expand_memo(prog, init, access, opts, cache)
+    live = owner(_expand_memo(prog, cobegin.succ, access, opts, cache)).succ
+    assert len(live.heap) == 1
+
+    # interpreter path (step._finish), no cache involved
+    fresh = owner(_expand(prog, live, access, ExploreOptions(policy="full")))
+    assert fresh.succ.heap == ()
+
+    # memo path: fill at `live`, then replay after the unrelated x write
+    exps = _expand_memo(prog, live, access, opts, cache)
+    assert owner(exps).succ.heap == ()
+    after_x = next(e for e in exps if e.enabled and x_glob in e.writes).succ
+    assert len(after_x.heap) == 1
+    dropper = owner(exps).proc
+    entry = cache.probe(after_x, dropper)
+    assert entry is not None and entry.gc
+    assert cache.replay(entry, dropper, after_x).succ.heap == ()
+
+
 def test_cache_eviction_bounds_size():
     cache = ExpandCache(max_procs=2, max_entries_per_proc=1)
     prog = parse_program(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import glob
 import os
+import time
 
 import pytest
 
@@ -24,6 +25,10 @@ from repro.programs.philosophers import philosophers
 from repro.resilience import chaos
 from repro.semantics.transport import shm_available
 from repro.util.errors import ReproError
+
+
+#: per-expansion delay of shard 0's owner in the forced-skew test
+OWNER_DELAY_S = 0.005
 
 
 def _opts(**kw) -> ExploreOptions:
@@ -45,6 +50,17 @@ def test_skewed_shards_force_steals_and_rebalance(monkeypatch):
     clean = explore(program, options=_opts())
 
     monkeypatch.setattr(par, "shard_of", lambda config, n: 0)
+    # shard 0's owner also pays a fixed delay per expansion, so its
+    # queue outlives the idle worker's steal round trips whatever the
+    # host load: the share worker 1 earns no longer races the clock
+    execute = par._Worker._execute
+
+    def slow_owner(self, owner, lid, config):
+        if self.wid == 0:
+            time.sleep(OWNER_DELAY_S)
+        execute(self, owner, lid, config)
+
+    monkeypatch.setattr(par._Worker, "_execute", slow_owner)
     skewed = explore(program, options=_opts())
 
     s = skewed.stats

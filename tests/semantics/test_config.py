@@ -48,6 +48,12 @@ def test_fresh_oid_skips_used():
     assert cfg.fresh_oid("other") == ("other", 0)
 
 
+def test_gc_empty_heap_returns_the_config_itself():
+    # nothing to collect: no walk over the globals and frames, no copy
+    cfg = _mk(globals_=(0, 1))
+    assert collect_garbage(cfg) is cfg
+
+
 def test_gc_keeps_reachable_from_global():
     obj = HeapObj(oid=("s", 0), cells=(5,))
     cfg = _mk(heap=(obj,), globals_=(Pointer(("s", 0), 0),))

@@ -1,8 +1,8 @@
 """State-space exploration: full interleaving, stubborn sets, coarsening.
 
-Two backends share one result contract: the serial BFS/DFS drivers in
-:mod:`repro.explore.explorer` and the multiprocessing frontier-sharding
-driver in :mod:`repro.explore.parallel`
+Two backends share one result contract: the serial driver loop (BFS or
+sleep-set DFS) in :mod:`repro.explore.explorer` and the multiprocessing
+frontier-sharding driver in :mod:`repro.explore.parallel`
 (``ExploreOptions(backend="parallel", jobs=N)``).
 
 Resilient entry points (degradation ladder, checkpoint/resume, fault

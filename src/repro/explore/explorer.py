@@ -12,7 +12,11 @@ Policies
 Orthogonally, ``coarsen=True`` fuses thread-local runs into atomic
 blocks (virtual coarsening, Observation 5).
 
-Exploration is breadth-first and fully deterministic.
+Exploration is one loop (:func:`_drive`) over one of two frontier
+disciplines, both fully deterministic: breadth-first search (a FIFO
+queue, the default) or, with ``sleep=True``, depth-first search with
+sleep sets (a stack of ``(configuration, sleep set)`` pairs; see
+:mod:`repro.explore.sleepsets`).
 
 Resilience
 ----------
@@ -52,12 +56,13 @@ except ImportError:  # non-Unix platforms: RSS telemetry reads 0
     _resource = None
 
 from repro.analyses.accesses import AccessAnalysis, access_analysis
+from repro.explore import sleepsets
 from repro.explore.algorithm1 import AlgorithmOneSelector
 from repro.explore.coarsen import build_block
 from repro.explore.expansion import Expansion
 from repro.explore.graph import DEADLOCK, FAULT, TERMINATED, ConfigGraph
 from repro.explore.memo import ExpandCache, expand_memoized
-from repro.explore.observers import Observer
+from repro.explore.observers import Observer, attached
 from repro.explore.stubborn import StubbornSelector, StubbornStats
 from repro.lang.program import Program
 from repro.resilience import chaos
@@ -299,28 +304,199 @@ def explore(
             resume_from=resume_from,
         )
 
+    return _drive(
+        program, opts, _SleepStack if opts.sleep else _BfsQueue, observers,
+        checkpointer, resume_from, expand_cache=expand_cache,
+    )
+
+
+def _make_access(program: Program, opts: ExploreOptions) -> AccessAnalysis:
+    """The static access sets *opts* asks for (``coarse_derefs`` is the
+    no-points-to ablation)."""
     if opts.coarse_derefs:
-        access = AccessAnalysis(program, coarse_derefs=True)
-    else:
-        access = access_analysis(program)
-    selector = None
-    if opts.policy == "stubborn":
-        selector = AlgorithmOneSelector(program, access)
-    elif opts.policy == "stubborn-proc":
-        selector = StubbornSelector(program, access)
+        return AccessAnalysis(program, coarse_derefs=True)
+    return access_analysis(program)
 
-    metrics = _attached_registry(observers)
-    if selector is not None and metrics is not None:
-        selector.metrics = metrics
-    tracer = _attached_tracer(observers)
-    progress = _attached_progress(observers)
 
-    if opts.sleep:
-        return _explore_sleep(
-            program, opts, access, selector, observers, metrics,
-            checkpointer, resume_from, expand_cache=expand_cache,
+def _make_selector(program: Program, access: AccessAnalysis, policy: str):
+    """The stubborn-set selector of *policy* (None for ``full``)."""
+    if policy == "stubborn":
+        return AlgorithmOneSelector(program, access)
+    if policy == "stubborn-proc":
+        return StubbornSelector(program, access)
+    return None
+
+
+# --------------------------------------------------------------------------
+# frontier disciplines: what differs between breadth-first search and the
+# sleep-set depth-first search (everything else lives in :func:`_drive`)
+# --------------------------------------------------------------------------
+
+
+class _BfsQueue:
+    """Breadth-first frontier: a FIFO queue.  A configuration enters it
+    exactly once, when it is first interned."""
+
+    #: snapshot ``driver`` tag (also the parallel BFS master's)
+    driver = "bfs"
+
+    def __init__(self, queue) -> None:
+        self.queue = deque(queue)
+
+    @classmethod
+    def seed(cls, initial: int) -> _BfsQueue:
+        return cls([initial])
+
+    @classmethod
+    def restore(cls, payload: dict) -> _BfsQueue:
+        return cls(payload["queue"])
+
+    def snapshot(self) -> dict:
+        return {"queue": list(self.queue)}
+
+    def __len__(self) -> int:
+        return len(self.queue)
+
+    def clear(self) -> None:
+        self.queue.clear()
+
+    def pop(self) -> int | None:
+        return self.queue.popleft()
+
+    def successors(self, chosen: list[Expansion]) -> list[Expansion]:
+        return chosen
+
+    def new_edge(self, cid: int, dst: int, exp: Expansion) -> bool:
+        return True
+
+    def push(self, dst: int, fresh: bool, exp: Expansion) -> None:
+        if fresh:
+            self.queue.append(dst)
+
+
+class _SleepStack:
+    """Depth-first frontier with sleep sets (see
+    :mod:`repro.explore.sleepsets`): a stack of ``(cid, sleep)`` pairs.
+
+    A configuration popped with a sleep set that includes one it was
+    already explored with is skipped; sleeping transitions are filtered
+    out of the chosen set; an edge re-reached under another sleep set is
+    recorded once; a child sleeps on the entries of its parent's sleep
+    set and of its earlier siblings that are independent of the
+    transition reaching it.
+    """
+
+    driver = "sleep"
+
+    def __init__(self, stack, explored, seen_edges) -> None:
+        self.stack: list[tuple[int, frozenset]] = stack
+        #: per-config list of sleep sets it has been explored with
+        self.explored: dict[int, list[frozenset]] = explored
+        self.seen_edges: set[tuple] = seen_edges
+        #: the popped configuration's sleep set, its already-pushed
+        #: siblings' entries, and where its children go on the stack
+        self.sleep: frozenset = frozenset()
+        self.done: list = []
+        self.base = 0
+
+    @classmethod
+    def seed(cls, initial: int) -> _SleepStack:
+        return cls([(initial, frozenset())], {}, set())
+
+    @classmethod
+    def restore(cls, payload: dict) -> _SleepStack:
+        return cls(
+            payload["stack"], payload["explored"], payload["seen_edges"]
         )
 
+    def snapshot(self) -> dict:
+        return {
+            "explored": self.explored,
+            "seen_edges": self.seen_edges,
+            "stack": list(self.stack),
+        }
+
+    def __len__(self) -> int:
+        return len(self.stack)
+
+    def clear(self) -> None:
+        self.stack.clear()
+
+    def pop(self) -> int | None:
+        cid, sleep = self.stack.pop()
+        prev = self.explored.get(cid)
+        if prev is not None and any(p <= sleep for p in prev):
+            return None
+        if prev is None:
+            self.explored[cid] = [sleep]
+        else:
+            prev[:] = [p for p in prev if not sleep <= p]
+            prev.append(sleep)
+        self.sleep = sleep
+        return cid
+
+    def successors(self, chosen: list[Expansion]) -> list[Expansion]:
+        self.done = []
+        self.base = len(self.stack)
+        sleeping_keys = {z.key for z in self.sleep}
+        return [
+            e for e in chosen
+            if sleepsets.transition_key(e.proc) not in sleeping_keys
+        ]
+
+    def new_edge(self, cid: int, dst: int, exp: Expansion) -> bool:
+        ekey = (cid, dst, tuple(a.label for a in exp.actions))
+        if ekey in self.seen_edges:
+            return False
+        self.seen_edges.add(ekey)
+        return True
+
+    def push(self, dst: int, fresh: bool, exp: Expansion) -> None:
+        child_sleep = frozenset(
+            z for z in (set(self.sleep) | set(self.done))
+            if sleepsets.independent(z, exp)
+        )
+        # below the earlier siblings, so the first sibling ends up on
+        # top and is explored first (its sleep set is the smallest)
+        self.stack.insert(self.base, (dst, child_sleep))
+        self.done.append(sleepsets.entry_of(exp))
+
+
+def _drive(
+    program: Program,
+    opts: ExploreOptions,
+    discipline: type[_BfsQueue] | type[_SleepStack],
+    observers: tuple[Observer, ...],
+    checkpointer: Checkpointer | None = None,
+    resume_from: str | None = None,
+    *,
+    expand_fn=None,
+    backend: str = "serial",
+    jobs: int = 1,
+    expand_cache: ExpandCache | None = None,
+) -> ExploreResult:
+    """The exploration loop: pop a configuration, expand it, select a
+    stubborn set (Algorithm 1), insert the chosen successors.
+
+    *discipline* orders and prunes the frontier (:class:`_BfsQueue` or
+    :class:`_SleepStack`); budgets, checkpoints, telemetry, fault
+    isolation and finalization are shared.
+
+    The parallel backend's sleep mode reuses this loop: sleep-set
+    pruning is order-dependent, so the DFS stays master-sequenced and
+    only the expensive part — computing expansions — is farmed out
+    through *expand_fn* (same contract as :func:`_expand`, exceptions
+    included: a worker-side fault re-raises here and takes the ordinary
+    ``internal-error`` path).  Master sequencing is also what makes
+    checkpoint/resume and the graph bit-identical across backends.
+    """
+    access = _make_access(program, opts)
+    selector = _make_selector(program, access, opts.policy)
+    metrics = attached(observers, "registry")
+    if selector is not None and metrics is not None:
+        selector.metrics = metrics
+    tracer = attached(observers, "tracer")
+    progress = attached(observers, "progress")
     rounds = None
     if tracer is not None:
         from repro.trace.tracer import SpanChunker
@@ -341,18 +517,14 @@ def explore(
     if resume_from is not None:
         payload = read_snapshot(
             resume_from,
-            driver="bfs",
+            driver=discipline.driver,
             fingerprint=fingerprint,
             options_key=opts.resume_key(),
         )
         graph = payload["graph"]
         stats = payload["stats"]
-        queue: deque[int] = deque(payload["queue"])
-        processed: set[int] = payload["processed"]
+        frontier = discipline.restore(payload)
         stats.resumed = True
-        # snapshots are cross-backend (a parallel run may have written
-        # this one): the backend tag describes *this* run, not the donor
-        stats.backend, stats.jobs = "serial", 1
         graph.metrics = metrics
         if selector is not None and payload.get("stubborn") is not None:
             selector.stats = payload["stubborn"]
@@ -363,10 +535,11 @@ def explore(
         init = initial_config(
             program, track_procstrings=opts.step.track_procstrings
         )
-        init_id, _ = graph.add_config(init)
-        graph.initial = init_id
-        queue = deque([init_id])
-        processed = set()
+        graph.initial, _ = graph.add_config(init)
+        frontier = discipline.seed(graph.initial)
+    # snapshots are cross-backend (a parallel run may have written a
+    # resumed one): the backend tag describes *this* run, not the donor
+    stats.backend, stats.jobs = backend, jobs
     guard = _ObserverGuard(observers, stats, metrics, tracer)
     if resume_from is None:
         # observers see every configuration, the initial one included
@@ -377,45 +550,43 @@ def explore(
 
     def payload_now() -> dict:
         return {
-            "driver": "bfs",
+            "driver": discipline.driver,
             "fingerprint": fingerprint,
             "options_key": opts.resume_key(),
             "graph": graph,
             "stats": stats,
             "stubborn": selector.stats if selector is not None else None,
-            "queue": list(queue),
-            "processed": processed,
+            **frontier.snapshot(),
         }
 
-    while queue:
+    while frontier:
         if deadline is not None and time.perf_counter() > deadline:
             _truncate(stats, "time", tracer)
-            queue.clear()
+            frontier.clear()
             break
         if checkpointer is not None and checkpointer.tick(payload_now):
             _truncate(stats, "interrupted", tracer)
             break
-        cid = queue.popleft()
-        if cid in processed:
+        cid = frontier.pop()
+        if cid is None:  # pruned by the discipline
             continue
-        processed.add(cid)
         config = graph.configs[cid]
         stats.expansions += 1
         if rounds is not None:
             rounds.tick()
         if not _within_memory_budget(stats, opts):
             _truncate(stats, "memory", tracer)
-            queue.clear()
+            frontier.clear()
             break
         if metrics is not None:
             metrics.inc("explore.expansions")
-            metrics.observe("explore.frontier_depth", len(queue))
+            metrics.observe("explore.frontier_depth", len(frontier))
         if progress is not None and progress.due():
             progress.emit(
                 "explore",
                 configs=graph.num_configs,
                 edges=graph.num_edges,
-                frontier=len(queue),
+                frontier=len(frontier),
                 expansions=stats.expansions,
                 cache_hits=cache.hits if cache is not None else 0,
                 cache_misses=cache.misses if cache is not None else 0,
@@ -428,7 +599,7 @@ def explore(
 
         expansions = _expand_guarded(
             program, config, cid, access, opts, stats, metrics, tracer,
-            cache=cache,
+            cache=cache, expand_fn=expand_fn,
         )
         if expansions is None:
             continue
@@ -440,22 +611,21 @@ def explore(
         chosen = _select_guarded(
             selector, expansions, enabled, stats, metrics, tracer
         )
-
-        for exp in chosen:
+        for exp in frontier.successors(chosen):
             succ = exp.succ
             assert succ is not None
             dst, fresh = graph.add_config(succ)
-            graph.add_edge(cid, dst, exp.actions)
-            stats.actions_executed += len(exp.actions)
-            guard.on_edge(graph, cid, dst, exp.actions)
-            if fresh:
-                guard.on_config(graph, dst, succ, True, None)
-                if graph.num_configs > opts.max_configs:
-                    _truncate(stats, "configs", tracer)
-                    queue.clear()
-                    break
-                queue.append(dst)
-
+            if frontier.new_edge(cid, dst, exp):
+                graph.add_edge(cid, dst, exp.actions)
+                stats.actions_executed += len(exp.actions)
+                guard.on_edge(graph, cid, dst, exp.actions)
+                if fresh:
+                    guard.on_config(graph, dst, succ, True, None)
+            if graph.num_configs > opts.max_configs:
+                _truncate(stats, "configs", tracer)
+                frontier.clear()
+                break
+            frontier.push(dst, fresh, exp)
         if stats.truncated:
             break
 
@@ -469,48 +639,6 @@ def explore(
 
 
 # --------------------------------------------------------------------------
-
-
-def _attached_registry(observers):
-    """The metrics registry of the first observer exposing one, or None.
-
-    Duck-typed (any observer with a non-None ``registry`` attribute
-    counts) so this module need not import :mod:`repro.metrics`; when it
-    returns None the engine skips every telemetry update.
-    """
-    for ob in observers:
-        reg = getattr(ob, "registry", None)
-        if reg is not None:
-            return reg
-    return None
-
-
-def _attached_tracer(observers):
-    """The tracer of the first observer exposing one, or None.
-
-    Same duck-typed contract as :func:`_attached_registry` (attach a
-    :class:`repro.trace.TraceRecorder`); None means every span/event
-    site in the engine is a single ``is not None`` test.
-    """
-    for ob in observers:
-        tracer = getattr(ob, "tracer", None)
-        if tracer is not None:
-            return tracer
-    return None
-
-
-def _attached_progress(observers):
-    """The progress emitter of the first observer exposing one, or None.
-
-    Same duck-typed contract as :func:`_attached_registry` (attach a
-    :class:`repro.progress.ProgressEmitter`); None means every snapshot
-    site in the drivers is a single ``is not None`` test.
-    """
-    for ob in observers:
-        progress = getattr(ob, "progress", None)
-        if progress is not None:
-            return progress
-    return None
 
 
 class _ObserverGuard:
@@ -612,8 +740,9 @@ def _expand_guarded(
     (``internal-error``) — but it never raises.
 
     *expand_fn* substitutes the expansion computation (the parallel
-    sleep driver farms it to worker processes); the chaos ``eval`` point
-    then fires on the worker side, inside the substituted function."""
+    backend's sleep mode farms it to worker processes); the chaos
+    ``eval`` point then fires on the worker side, inside the substituted
+    function."""
     try:
         if expand_fn is not None:
             return expand_fn(config, cid)
@@ -685,9 +814,9 @@ def _terminal_status_fast(config: Config) -> str | None:
 
 
 def _mark_terminal(graph, cid, config, status, stats, guard) -> None:
-    """Classify a terminal configuration — shared by both drivers.
+    """Classify a terminal configuration.
 
-    Idempotent: the sleep-set driver can revisit a configuration under a
+    Idempotent: the sleep-set discipline can revisit a configuration under a
     different sleep set; only the first visit counts and notifies.
     """
     if cid in graph.terminal:
@@ -707,8 +836,9 @@ def _finalize(
     checkpointer=None, tracer=None, cache=None, digest_base=None,
     progress=None,
 ) -> ExploreResult:
-    """Stat finalization + ``on_done`` fan-out — shared by both drivers
-    (including truncated runs, so observers always see completion)."""
+    """Stat finalization + ``on_done`` fan-out — shared by the driver loop
+    and the parallel BFS master (including truncated runs, so observers
+    always see completion)."""
     stats.num_configs = graph.num_configs
     stats.num_edges = graph.num_edges
     stats.stubborn = selector.stats if selector is not None else None
@@ -810,204 +940,6 @@ def _emit_incremental_metrics(metrics, cache, digest_base) -> None:
     )
     if reused + fresh:
         metrics.set_gauge("digest.incremental_rate", reused / (reused + fresh))
-
-
-def _explore_sleep(
-    program: Program,
-    opts: ExploreOptions,
-    access: AccessAnalysis,
-    selector,
-    observers: tuple[Observer, ...],
-    metrics=None,
-    checkpointer: Checkpointer | None = None,
-    resume_from: str | None = None,
-    *,
-    expand_fn=None,
-    backend: str = "serial",
-    jobs: int = 1,
-    expand_cache: ExpandCache | None = None,
-) -> ExploreResult:
-    """Depth-first exploration with sleep sets (see
-    :mod:`repro.explore.sleepsets`), composable with any policy.
-
-    The parallel backend reuses this exact driver: sleep-set pruning is
-    order-dependent, so the DFS stays master-sequenced and only the
-    expensive part — computing expansions — is farmed out through
-    *expand_fn* (same contract as :func:`_expand`, exceptions included:
-    a worker-side fault re-raises here and takes the ordinary
-    ``internal-error`` path).  Master sequencing is also what makes
-    checkpoint/resume and the graph bit-identical across backends.
-    """
-    from repro.explore.sleepsets import entry_of, independent, transition_key
-
-    tracer = _attached_tracer(observers)
-    progress = _attached_progress(observers)
-    rounds = None
-    if tracer is not None:
-        from repro.trace.tracer import SpanChunker
-
-        rounds = SpanChunker(tracer, "explore.round")
-    if checkpointer is not None:
-        checkpointer.tracer = tracer
-
-    t0 = time.perf_counter()
-    deadline = None if opts.time_limit_s is None else t0 + opts.time_limit_s
-    fingerprint = program_fingerprint(program)
-    if not opts.memo:
-        cache = None
-    else:
-        cache = expand_cache if expand_cache is not None else ExpandCache()
-    digest_base = digest_stats()
-
-    if resume_from is not None:
-        payload = read_snapshot(
-            resume_from,
-            driver="sleep",
-            fingerprint=fingerprint,
-            options_key=opts.resume_key(),
-        )
-        graph = payload["graph"]
-        stats = payload["stats"]
-        explored: dict[int, list[frozenset]] = payload["explored"]
-        seen_edges: set[tuple] = payload["seen_edges"]
-        stack: list[tuple[int, frozenset]] = payload["stack"]
-        stats.resumed = True
-        graph.metrics = metrics
-        if selector is not None and payload.get("stubborn") is not None:
-            selector.stats = payload["stubborn"]
-    else:
-        graph = ConfigGraph()
-        graph.metrics = metrics
-        stats = ExploreStats()
-        init = initial_config(
-            program, track_procstrings=opts.step.track_procstrings
-        )
-        init_id, _ = graph.add_config(init)
-        graph.initial = init_id
-        # per-config list of sleep sets it has been explored with
-        explored = {}
-        seen_edges = set()
-        stack = [(init_id, frozenset())]
-    stats.backend, stats.jobs = backend, jobs
-    guard = _ObserverGuard(observers, stats, metrics, tracer)
-    if resume_from is None:
-        guard.on_config(
-            graph, graph.initial, graph.configs[graph.initial], True, None
-        )
-
-    def payload_now() -> dict:
-        return {
-            "driver": "sleep",
-            "fingerprint": fingerprint,
-            "options_key": opts.resume_key(),
-            "graph": graph,
-            "stats": stats,
-            "stubborn": selector.stats if selector is not None else None,
-            "explored": explored,
-            "seen_edges": seen_edges,
-            "stack": list(stack),
-        }
-
-    while stack:
-        if deadline is not None and time.perf_counter() > deadline:
-            _truncate(stats, "time", tracer)
-            stack.clear()
-            break
-        if checkpointer is not None and checkpointer.tick(payload_now):
-            _truncate(stats, "interrupted", tracer)
-            break
-        cid, sleep = stack.pop()
-        prev = explored.get(cid)
-        if prev is not None and any(p <= sleep for p in prev):
-            continue
-        if prev is None:
-            explored[cid] = [sleep]
-        else:
-            prev[:] = [p for p in prev if not sleep <= p]
-            prev.append(sleep)
-        config = graph.configs[cid]
-        stats.expansions += 1
-        if rounds is not None:
-            rounds.tick()
-        if not _within_memory_budget(stats, opts):
-            _truncate(stats, "memory", tracer)
-            stack.clear()
-            break
-        if metrics is not None:
-            metrics.inc("explore.expansions")
-            metrics.observe("explore.frontier_depth", len(stack))
-        if progress is not None and progress.due():
-            progress.emit(
-                "explore",
-                configs=graph.num_configs,
-                edges=graph.num_edges,
-                frontier=len(stack),
-                expansions=stats.expansions,
-                cache_hits=cache.hits if cache is not None else 0,
-                cache_misses=cache.misses if cache is not None else 0,
-            )
-
-        status = _terminal_status_fast(config)
-        if status is not None:
-            _mark_terminal(graph, cid, config, status, stats, guard)
-            continue
-
-        expansions = _expand_guarded(
-            program, config, cid, access, opts, stats, metrics, tracer,
-            cache=cache, expand_fn=expand_fn,
-        )
-        if expansions is None:
-            continue
-        enabled = [e for e in expansions if e.enabled]
-        if not enabled:
-            _mark_terminal(graph, cid, config, DEADLOCK, stats, guard)
-            continue
-
-        chosen = _select_guarded(
-            selector, expansions, enabled, stats, metrics, tracer
-        )
-        sleeping_keys = {z.key for z in sleep}
-        active = [
-            e for e in chosen if transition_key(e.proc) not in sleeping_keys
-        ]
-
-        done: list = []
-        pending: list[tuple[int, frozenset]] = []
-        for exp in active:
-            succ = exp.succ
-            assert succ is not None
-            dst, fresh = graph.add_config(succ)
-            ekey = (cid, dst, tuple(a.label for a in exp.actions))
-            if ekey not in seen_edges:
-                seen_edges.add(ekey)
-                graph.add_edge(cid, dst, exp.actions)
-                stats.actions_executed += len(exp.actions)
-                guard.on_edge(graph, cid, dst, exp.actions)
-                if fresh:
-                    guard.on_config(graph, dst, succ, True, None)
-            if graph.num_configs > opts.max_configs:
-                _truncate(stats, "configs", tracer)
-                stack.clear()
-                pending.clear()
-                break
-            child_sleep = frozenset(
-                z for z in (set(sleep) | set(done)) if independent(z, exp)
-            )
-            pending.append((dst, child_sleep))
-            done.append(entry_of(exp))
-        # push in reverse so the first sibling is explored first (its
-        # sleep set is the smallest)
-        stack.extend(reversed(pending))
-        if stats.truncated:
-            break
-
-    if rounds is not None:
-        rounds.close()
-    return _finalize(
-        program, graph, stats, opts, access, selector, guard, metrics, t0,
-        checkpointer, tracer, cache=cache, digest_base=digest_base,
-        progress=progress,
-    )
 
 
 def _expand(

@@ -12,6 +12,22 @@ from repro.semantics.config import Config
 from repro.semantics.step import ActionInfo
 
 
+def attached(observers, attr: str):
+    """The non-None *attr* of the first observer exposing one, or None.
+
+    How the engine discovers what is attached: the metrics registry
+    (``registry``), the tracer (``tracer``) and the progress emitter
+    (``progress``).  Duck-typed, so the engine need not import those
+    subsystems; None means every instrumentation site for that plane is
+    a single ``is not None`` test.
+    """
+    for ob in observers:
+        value = getattr(ob, attr, None)
+        if value is not None:
+            return value
+    return None
+
+
 class Observer:
     """Base observer; all callbacks default to no-ops.
 

@@ -50,11 +50,12 @@ Composition
 -----------
 Everything composes — the two historical rejections are lifted:
 
-* ``sleep=True``: sleep-set pruning is order-dependent, so the DFS of
-  :func:`repro.explore.explorer._explore_sleep` stays master-sequenced
-  and workers act as sharded *expansion servers* (each owning a shard's
-  memo cache); the graph, checkpoints, and pruning decisions are
-  bit-identical to the serial sleep driver's.
+* ``sleep=True``: sleep-set pruning is order-dependent, so the sleep-set
+  DFS stays master-sequenced — the master runs the serial driver loop
+  (:func:`repro.explore.explorer._drive`) — and workers act as sharded
+  *expansion servers* (each owning a shard's memo cache); the graph,
+  checkpoints, and pruning decisions are bit-identical to a serial
+  sleep run's.
 * checkpoint/resume: the master pauses the pool (workers park ready
   tasks; quiescence is ``outstanding == suspended``), collects shard
   dumps, and writes the same ``driver="bfs"`` snapshot the serial
@@ -82,11 +83,16 @@ import time
 import traceback
 from collections import deque
 
-from repro.analyses.accesses import AccessAnalysis, access_analysis
-from repro.explore.algorithm1 import AlgorithmOneSelector
+from repro.explore.explorer import (
+    _drive,
+    _make_access,
+    _make_selector,
+    _SleepStack,
+)
 from repro.explore.graph import DEADLOCK, TERMINATED, ConfigGraph
 from repro.explore.memo import ExpandCache
-from repro.explore.stubborn import StubbornSelector, StubbornStats
+from repro.explore.observers import attached
+from repro.explore.stubborn import StubbornStats
 from repro.lang.program import Program
 from repro.resilience import chaos
 from repro.resilience.checkpoint import (
@@ -151,20 +157,6 @@ class _PoolFailure(BaseException):
     engine's generic degradation guards (``_expand_guarded``, observer
     guards) up to the retry loop in :func:`explore_parallel`.
     """
-
-
-def _make_selector(program, access, policy):
-    if policy == "stubborn":
-        return AlgorithmOneSelector(program, access)
-    if policy == "stubborn-proc":
-        return StubbornSelector(program, access)
-    return None
-
-
-def _make_access(program, opts) -> AccessAnalysis:
-    if opts.coarse_derefs:
-        return AccessAnalysis(program, coarse_derefs=True)
-    return access_analysis(program)
 
 
 class _Shared:
@@ -1251,9 +1243,6 @@ def _bfs_attempt(
     from repro.explore.explorer import (
         ExploreStats,
         _ObserverGuard,
-        _attached_progress,
-        _attached_registry,
-        _attached_tracer,
         _current_rss_bytes,
         _finalize,
         _truncate,
@@ -1262,9 +1251,9 @@ def _bfs_attempt(
     t0 = time.perf_counter()
     deadline = None if opts.time_limit_s is None else t0 + opts.time_limit_s
     nshards = opts.jobs
-    metrics = _attached_registry(observers)
-    tracer = _attached_tracer(observers)
-    emitter = _attached_progress(observers)
+    metrics = attached(observers, "registry")
+    tracer = attached(observers, "tracer")
+    emitter = attached(observers, "progress")
     digest_base = digest_stats()
     access = _make_access(program, opts)
     fingerprint = program_fingerprint(program)
@@ -1580,7 +1569,6 @@ def _quiescent_checkpoint(
             + [d["stubborn"] for d in dumps]
         ),
         "queue": queued,
-        "processed": set(range(graph.num_configs)) - set(queued),
     }
     span = (
         tracer.begin_span("checkpoint.write", index=cp.written)
@@ -1635,7 +1623,7 @@ def _sleep_worker_main(
     """Worker process entry point (sleep mode).
 
     Sleep-set pruning is order-dependent, so the DFS itself runs on the
-    master (:func:`repro.explore.explorer._explore_sleep`); each worker
+    master (:func:`repro.explore.explorer._drive`); each worker
     only *expands* the configurations of its shard, keeping that shard's
     memo cache and digest tables warm across requests.
     """
@@ -1714,19 +1702,9 @@ def _sleep_worker_main(
 def _sleep_attempt(
     program, opts, observers, checkpointer, resume_from, restarts
 ):
-    from repro.explore.explorer import (
-        _attached_registry,
-        _attached_tracer,
-        _explore_sleep,
-    )
-
     nshards = opts.jobs
-    metrics = _attached_registry(observers)
-    tracer = _attached_tracer(observers)
-    access = _make_access(program, opts)
-    selector = _make_selector(program, access, opts.policy)
-    if selector is not None and metrics is not None:
-        selector.metrics = metrics
+    metrics = attached(observers, "registry")
+    tracer = attached(observers, "tracer")
 
     spawn_span = (
         tracer.begin_span("parallel.spawn", jobs=nshards)
@@ -1774,9 +1752,8 @@ def _sleep_attempt(
         return pickle.loads(data)
 
     try:
-        result = _explore_sleep(
-            program, opts, access, selector, observers, metrics,
-            checkpointer, resume_from,
+        result = _drive(
+            program, opts, _SleepStack, observers, checkpointer, resume_from,
             expand_fn=expand_fn, backend="parallel", jobs=nshards,
         )
         result.stats.worker_restarts = restarts

@@ -58,7 +58,7 @@ name                                    type       meaning
 from __future__ import annotations
 
 from repro.explore.graph import ConfigGraph
-from repro.explore.observers import Observer
+from repro.explore.observers import Observer, attached
 from repro.metrics.registry import MetricsRegistry
 
 
@@ -95,10 +95,7 @@ class MetricsObserver(Observer):
 
 
 def attached_registry(observers) -> MetricsRegistry | None:
-    """The registry of the first :class:`MetricsObserver` among
-    *observers*, or None — how the engine decides whether to run its
-    deep instrumentation."""
-    for ob in observers:
-        if isinstance(ob, MetricsObserver):
-            return ob.registry
-    return None
+    """The registry of the first observer exposing one (in practice a
+    :class:`MetricsObserver`), or None — how the engine decides whether
+    to run its deep instrumentation."""
+    return attached(observers, "registry")

@@ -13,7 +13,12 @@ import pytest
 
 from repro.explore import ExploreOptions, explore
 from repro.programs.corpus import CORPUS
-from repro.resilience.checkpoint import CheckpointError, Checkpointer
+from repro.resilience.checkpoint import (
+    CheckpointError,
+    Checkpointer,
+    read_snapshot,
+    write_snapshot,
+)
 from repro.semantics.step import StepOptions
 
 
@@ -100,6 +105,31 @@ def test_resume_from_different_depths(stop_after, tmp_path):
         program, opts, tmp_path, every=7, stop_after=stop_after
     )
     assert resumed is not None
+    assert _signature(resumed) == _signature(reference)
+
+
+@pytest.mark.parametrize("jobs", [0, 2], ids=["serial", "parallel-j2"])
+def test_resume_ignores_legacy_processed_key(jobs, tmp_path):
+    """Older BFS snapshots also stored the set of expanded
+    configurations; the key is now redundant and ignored."""
+    program = CORPUS["philosophers_3"]()
+    opts = ExploreOptions(policy="stubborn")
+    path = str(tmp_path / "snap.ckpt")
+    first = explore(
+        program, options=opts, checkpointer=Checkpointer(path, every=3, stop_after=1)
+    )
+    assert first.stats.truncation_reason == "interrupted"
+    payload = read_snapshot(path)
+    del payload["schema"]
+    payload["processed"] = set(range(payload["graph"].num_configs)) - set(
+        payload["queue"]
+    )
+    write_snapshot(path, payload)
+    if jobs:
+        opts = ExploreOptions(policy="stubborn", backend="parallel", jobs=jobs)
+    reference = explore(program, options=opts)
+    resumed = explore(program, options=opts, resume_from=path)
+    assert resumed.stats.resumed
     assert _signature(resumed) == _signature(reference)
 
 

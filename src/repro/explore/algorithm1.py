@@ -44,6 +44,11 @@ static location, the ``(func, pc)`` points that may write it (and,
 separately, read or write it), built on first use.  A D2 or guard step
 is then one set intersection per other process's universe, and the
 universes themselves are cached per process control state.
+
+The same questions recur at every configuration, so two per-run tables
+make a step's cost a pair of dict lookups: a step's ``(writes, reads)``
+maps to the union of its conflict sets, and a ``(universe, conflicts)``
+pair maps to their intersection.
 """
 
 from __future__ import annotations
@@ -76,6 +81,12 @@ class AlgorithmOneSelector:
     _universes: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: a step's (writes, reads) -> the union of their conflict sets
+    _step_conflicts: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: (universe, conflicts) -> their intersection, as a tuple
+    _meets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _record(self, enabled: int, chosen: int) -> None:
         self.stats.record(enabled, chosen)
@@ -201,20 +212,35 @@ class AlgorithmOneSelector:
             )
         return hit
 
+    def _conflicts_of(self, writes, reads) -> frozenset:
+        """The ``(func, pc)`` points conflicting with a step that writes
+        *writes* and reads *reads*: readers or writers of the former,
+        writers of the latter.  Memoised per ``(writes, reads)``."""
+        key = (writes, reads)
+        hit = self._step_conflicts.get(key)
+        if hit is None:
+            hit = self._step_conflicts[key] = frozenset().union(
+                *(self._conflicts(w, True) for w in writes),
+                *(self._conflicts(r, False) for r in reads),
+            )
+        return hit
+
     def _add_conflicting(self, exp, universes, conflicts, add) -> None:
         pid = exp.pid
+        meets = self._meets
         for other, uni in universes.items():
             if other != pid:
-                for f2, pc2 in uni & conflicts:
+                key = (uni, conflicts)
+                meet = meets.get(key)
+                if meet is None:
+                    meet = meets[key] = tuple(uni & conflicts)
+                for f2, pc2 in meet:
                     add((other, f2, pc2))
 
     # -- D2 ------------------------------------------------------------
 
     def _add_dependents(self, exp, by_pid, universes, add) -> None:
-        conflicts = frozenset().union(
-            *(self._conflicts(w, True) for w in exp.writes),
-            *(self._conflicts(r, False) for r in exp.reads),
-        )
+        conflicts = self._conflicts_of(exp.writes, exp.reads)
         self._add_conflicting(exp, universes, conflicts, add)
 
     # -- D1: guard-disabled current ------------------------------------
@@ -228,7 +254,8 @@ class AlgorithmOneSelector:
                     if isinstance(ins, IThreadEnd):
                         add((child, f2, pc2))
             return
-        conflicts = frozenset().union(*(self._conflicts(n, False) for n in exp.nes))
+        # the writers of the guard's locations: a step that only reads them
+        conflicts = self._conflicts_of((), exp.nes)
         self._add_conflicting(exp, universes, conflicts, add)
 
     # -- D1: future elements (control chain) ----------------------------

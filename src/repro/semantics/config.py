@@ -29,6 +29,15 @@ for identity: all visited-set structures key on full structural equality
 (dict/set semantics), and cross-process shard routing uses
 :func:`stable_digest`, which is independent of ``PYTHONHASHSEED``.
 
+Hashes are lazy and cached per component.  :class:`Process` and
+:class:`HeapObj` compute their salted hash on first use and keep it;
+:class:`Config` hashes on its first ``__hash__``, not when it is built.
+A successor is therefore hashed only when it reaches a dict (the
+configuration graph, an intern table, the expansion memo), and the
+processes and heap objects it shares with its parent answer in O(1).
+The cached hash is never pickled: it is salted per OS process, so the
+receiver recomputes it.
+
 O(delta) digests
 ----------------
 :func:`stable_digest` composes fixed-size per-component digests cached
@@ -150,12 +159,26 @@ class Process:
     children: tuple[Pid, ...] = ()
     retval: Optional[Value] = None
     ps: PS.ProcString = ()
-    # Cached component digest (see stable_digest); init=False so
-    # dataclasses.replace() never copies a stale digest onto a changed
-    # process.  Never compared, carried through __reduce__.
+    # Cached component digest (see stable_digest) and salted hash;
+    # init=False so dataclasses.replace() never copies a stale value onto
+    # a changed process.  Never compared; the digest is carried through
+    # __reduce__, the salted hash never is.
     _digest: Optional[bytes] = field(
         default=None, init=False, compare=False, repr=False
     )
+    _hash: Optional[int] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(
+                (self.pid, self.frames, self.status, self.join_pc,
+                 self.children, self.retval, self.ps)
+            )
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def top(self) -> Frame:
@@ -193,6 +216,16 @@ class HeapObj:
     _digest: Optional[bytes] = field(
         default=None, init=False, compare=False, repr=False
     )
+    _hash: Optional[int] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.oid, self.cells, self.birth_pid, self.birth_ps))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __reduce__(self):
         return (
@@ -216,20 +249,29 @@ class Config:
     globals: tuple[Value, ...]
     heap: tuple[HeapObj, ...]
     fault: Optional[str] = None
-    _hash: int = field(default=0, compare=False, repr=False)
-    # Lazily-built lookup indexes (pid -> Process, oid -> HeapObj) and
-    # the cached cross-process digest.  Never compared, never pickled.
-    _proc_index: Optional[dict] = field(default=None, compare=False, repr=False)
-    _heap_index: Optional[dict] = field(default=None, compare=False, repr=False)
-    _digest: Optional[int] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.procs, self.globals, self.heap, self.fault))
-        )
+    # Lazily-computed salted hash, lookup indexes (pid -> Process,
+    # oid -> HeapObj) and cross-process digest.  Never compared; init=False
+    # so dataclasses.replace() starts a changed config with empty caches.
+    # Only the digest is pickled.
+    _hash: Optional[int] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _proc_index: Optional[dict] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _heap_index: Optional[dict] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _digest: Optional[int] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.procs, self.globals, self.heap, self.fault))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __reduce__(self):
         # Positional payload without the lookup caches; the loader

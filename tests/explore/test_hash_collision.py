@@ -32,7 +32,8 @@ def _mk(globals_):
 def colliding_pair():
     """Two distinct configurations with identical ``_hash``."""
     a, b = _mk((0,)), _mk((1,))
-    object.__setattr__(b, "_hash", a._hash)
+    # hashes are lazy: hash(a) fills a's cache, b gets the same value
+    object.__setattr__(b, "_hash", hash(a))
     assert hash(a) == hash(b) and a != b
     return a, b
 

@@ -12,7 +12,9 @@ Over the corpus, hand-written pointer programs (``&g`` dereferences,
 which statically touch *any* global, and heap allocation sites) and the
 seeded random-program generator, the two must agree at every reachable
 configuration: the same chosen pids from ``select`` and, for every
-enabled seed, the same closure — chosen pids and ``len(S)``.
+enabled seed, the same closure — chosen pids and ``len(S)``.  A second
+walk with the same selector checks its per-run conflict and meet tables
+once warm.
 """
 
 from __future__ import annotations
@@ -74,13 +76,17 @@ def closures(sel, exps):
     return out
 
 
-def check_program(prog, coarsen: bool) -> tuple[int, AlgorithmOneSelector]:
+def check_program(
+    prog, coarsen: bool, indexed: AlgorithmOneSelector | None = None
+) -> tuple[int, AlgorithmOneSelector]:
     """Walk up to MAX_CONFIGS configurations of the full interleaving
     space and compare both selectors at each; returns the number of
-    configurations with a real choice and the indexed selector."""
-    access = access_analysis(prog)
+    configurations with a real choice and the indexed selector.  Pass a
+    selector from an earlier walk as *indexed* to check its warm tables."""
+    access = access_analysis(prog) if indexed is None else indexed.access
     opts = ExploreOptions(coarsen=coarsen)
-    indexed = AlgorithmOneSelector(prog, access)
+    if indexed is None:
+        indexed = AlgorithmOneSelector(prog, access)
     scan = ScanSelector(prog, access)
     start = initial_config(prog)
     seen = {start}
@@ -134,6 +140,21 @@ def test_corpus_matches_scan(name, coarsen):
 @pytest.mark.parametrize("seed", range(50))
 def test_random_programs_match_scan(seed):
     check_program(random_program(seed), coarsen=seed % 2 == 1)
+
+
+@pytest.mark.parametrize("coarsen", [False, True])
+def test_warm_tables_match_scan(coarsen):
+    """Walk each program twice with one selector: on the second pass
+    every answer comes from the conflict and meet tables filled by the
+    first, and must still equal the scan's."""
+    programs = [prog for _, prog in corpus_programs()]
+    programs += [random_program(seed) for seed in range(0, 50, 5)]
+    programs += [parse_program(ADDRESS_OF), pointer_heavy(2, 2)]
+    for prog in programs:
+        _, warm = check_program(prog, coarsen)
+        filled = len(warm._step_conflicts), len(warm._meets)
+        check_program(prog, coarsen, indexed=warm)
+        assert (len(warm._step_conflicts), len(warm._meets)) == filled
 
 
 def test_any_global_pointer_matches_scan():

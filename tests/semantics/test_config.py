@@ -1,5 +1,11 @@
 """Configuration structure tests: hashing, canonicity, GC."""
 
+import pickle
+from dataclasses import replace
+
+from repro.analyses.accesses import access_analysis
+from repro.explore import ExpandCache, ExploreOptions
+from repro.explore.memo import expand_memoized
 from repro.lang import parse_program
 from repro.semantics import (
     Config,
@@ -10,6 +16,7 @@ from repro.semantics import (
     collect_garbage,
     initial_config,
 )
+from repro.semantics.config import clear_intern_caches, stable_digest
 
 
 def _mk(heap=(), globals_=(0,)):
@@ -96,3 +103,81 @@ def test_is_terminated():
     done = Process(pid=(0,), frames=(), status="done")
     cfg = Config(procs=(done,), globals=(), heap=())
     assert cfg.is_terminated and cfg.is_terminal
+
+
+# -- lazy, per-component hash caches ----------------------------------------
+
+def _hashed(value):
+    """*value* with its hash cache filled."""
+    hash(value)
+    return value
+
+
+def test_replace_never_copies_a_cached_hash():
+    proc = _hashed(Process(pid=(0,), frames=(Frame(func="main", pc=0, locals=()),)))
+    moved = replace(proc, status="done")
+    assert moved._hash is None
+    assert hash(moved) == hash(
+        Process(
+            pid=(0,), frames=(Frame(func="main", pc=0, locals=()),), status="done"
+        )
+    )
+    obj = _hashed(HeapObj(oid=("s", 0), cells=(1,)))
+    assert hash(replace(obj, cells=(2,))) == hash(HeapObj(oid=("s", 0), cells=(2,)))
+    cfg = _hashed(_mk(heap=(obj,)))
+    stable_digest(cfg)
+    cfg.proc((0,))
+    changed = replace(cfg, globals=(7,))
+    fresh = _mk(heap=(obj,), globals_=(7,))
+    assert changed._hash is None and changed._digest is None
+    assert changed._proc_index is None and changed._heap_index is None
+    assert hash(changed) == hash(fresh)
+    assert stable_digest(changed) == stable_digest(fresh)
+
+
+def test_pickle_never_ships_the_salted_hash():
+    """A planted bogus cache value must not survive a pickle round trip:
+    the receiver recomputes the hash of its own (fresh) object."""
+    bogus = 0x5EED_F00D_5EED
+    obj = HeapObj(oid=("s", 0), cells=(1,))
+    cfg = _mk(heap=(obj,))
+    clear_intern_caches()
+    try:
+        for value in (cfg, obj, cfg.procs[0]):
+            genuine = hash(value)
+            object.__setattr__(value, "_hash", bogus)
+            assert bogus not in value.__reduce__()[1]
+            data = pickle.dumps(value)
+            clear_intern_caches()
+            loaded = pickle.loads(data)
+            assert loaded is not value and loaded == value
+            assert hash(loaded) == genuine != bogus
+    finally:
+        clear_intern_caches()
+
+
+def test_config_is_hashed_only_when_it_enters_a_dict():
+    prog = parse_program(
+        "var g = 0; func main() { cobegin { g = 1; } { g = 2; } }"
+    )
+    access = access_analysis(prog)
+    opts = ExploreOptions()
+    cache = ExpandCache()
+    config = initial_config(prog)
+    assert config._hash is None
+    # the cobegin step (a memo miss), then per branch a miss and a
+    # replayed hit (the joining root is a disabled miss, then a hit)
+    (fork,) = expand_memoized(prog, config, access, opts, cache)
+    config = fork.succ
+    succs = [
+        e.succ
+        for _ in range(2)
+        for e in expand_memoized(prog, config, access, opts, cache)
+        if e.enabled
+    ]
+    assert cache.hits == 3 and len(succs) == 4
+    assert all(s._hash is None for s in succs)
+    seen = {s: None for s in succs}
+    assert len(seen) == 2
+    for s in succs:
+        assert s._hash == hash((s.procs, s.globals, s.heap, s.fault))
